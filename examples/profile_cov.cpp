@@ -1,7 +1,8 @@
 // Profiling harness for the executor hot path: prints the register-program
 // shape of every group plan in the Retailer covariance batch (op counts,
 // part kinds, suffix kinds, write fan-out per trie level) and the
-// per-group execution times (same fixture knobs as bench_common.h).
+// per-group execution times (same fixture knobs as bench_common.h), with
+// each group's chosen attribute order and its cost estimate.
 // This is the tool behind the per-level cost breakdowns recorded in
 // EXPERIMENTS.md — run it before and after touching executor.cc.
 #include <algorithm>
@@ -58,6 +59,13 @@ int main() {
             "range-sum), %zu leaf sums, %zu writes, %d range-sum ids\n",
             p.group_id, p.alphas.size(), alpha_parts, p.betas.size(),
             beta_parts, rs, p.leaf_sums.size(), writes, p.num_range_sums);
+        const OrderEstimate& est =
+            compiled->order_estimates[static_cast<size_t>(p.group_id)];
+        std::string order;
+        for (AttrId a : p.attr_order) order += " " + db.catalog.attr(a).name;
+        std::printf("  g%d order:%s (cost %.3g of %d candidates; rule-1 %.3g)\n",
+                    p.group_id, order.c_str(), est.cost, est.candidates,
+                    est.rule1_cost);
         for (int l = 0; l <= p.num_levels(); ++l) {
           size_t nb = p.betas_at_level[l].size();
           size_t nw = p.writes_at_level[l].size();

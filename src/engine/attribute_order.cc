@@ -4,9 +4,20 @@
 
 namespace lmfao {
 
-StatusOr<std::vector<AttrId>> ComputeAttributeOrder(
-    const Workload& workload, const ViewGroup& group,
-    const Catalog& catalog) {
+namespace {
+
+/// The trie universe of a group and its outgoing-view key blocks.
+struct OrderInputs {
+  /// Sorted relation attributes keying incoming or outgoing views.
+  std::vector<AttrId> universe;
+  /// Distinct relation-key blocks of the outgoing inner views, in output
+  /// order (each block in view-key order).
+  std::vector<std::vector<AttrId>> blocks;
+};
+
+StatusOr<OrderInputs> CollectOrderInputs(const Workload& workload,
+                                         const ViewGroup& group,
+                                         const Catalog& catalog) {
   // The trie is built over the *node relation's* join attributes only
   // (Section 2: "a total order on the join attributes of the node
   // relation"). Attributes carried by incoming views but absent from the
@@ -14,45 +25,70 @@ StatusOr<std::vector<AttrId>> ComputeAttributeOrder(
   // levels: the executor iterates the views' matching entry ranges instead.
   const std::vector<AttrId>& rel_attrs =
       SortedUnique(catalog.relation(group.node).schema().attrs());
-  std::vector<AttrId> universe;
+  OrderInputs in;
   for (ViewId v : group.incoming) {
     for (AttrId a : workload.view(v).key) {
-      if (SetContains(rel_attrs, a)) universe.push_back(a);
+      if (SetContains(rel_attrs, a)) in.universe.push_back(a);
     }
   }
   for (ViewId v : group.outputs) {
     for (AttrId a : workload.view(v).key) {
-      if (SetContains(rel_attrs, a)) universe.push_back(a);
+      if (SetContains(rel_attrs, a)) in.universe.push_back(a);
     }
   }
-  universe = SortedUnique(std::move(universe));
-  for (AttrId a : universe) {
+  in.universe = SortedUnique(std::move(in.universe));
+  for (AttrId a : in.universe) {
     if (catalog.attr(a).type != AttrType::kInt) {
       return Status::InvalidArgument("trie attribute " + catalog.attr(a).name +
                                      " must be int-typed");
     }
   }
 
-  // Rule 1: outgoing *view* key attributes first (query outputs excluded:
-  // they accumulate into hash maps anyway), so inner views are produced in
-  // key order at shallow levels.
+  // Rule 1 blocks: outgoing *view* key attributes (query outputs excluded:
+  // they accumulate into hash maps anyway).
+  std::vector<std::vector<AttrId>> block_sets;
+  for (ViewId v : group.outputs) {
+    const ViewInfo& info = workload.view(v);
+    if (info.IsQueryOutput()) continue;
+    std::vector<AttrId> block;
+    for (AttrId a : info.key) {
+      if (SetContains(in.universe, a)) block.push_back(a);
+    }
+    if (block.empty()) continue;
+    std::vector<AttrId> set = SortedUnique(block);
+    if (std::find(block_sets.begin(), block_sets.end(), set) !=
+        block_sets.end()) {
+      continue;
+    }
+    block_sets.push_back(std::move(set));
+    in.blocks.push_back(std::move(block));
+  }
+  return in;
+}
+
+/// The order with block `lead` first, the other blocks in output order
+/// (Rule 1), then the remaining universe by rules 2 and 3.
+std::vector<AttrId> CompleteOrder(const Workload& workload,
+                                  const ViewGroup& group,
+                                  const Catalog& catalog,
+                                  const OrderInputs& in, size_t lead) {
   std::vector<AttrId> order;
   auto take = [&](AttrId a) {
-    if (!SetContains(universe, a)) return;
     if (std::find(order.begin(), order.end(), a) == order.end()) {
       order.push_back(a);
     }
   };
-  for (ViewId v : group.outputs) {
-    const ViewInfo& info = workload.view(v);
-    if (info.IsQueryOutput()) continue;
-    for (AttrId a : info.key) take(a);
+  if (lead < in.blocks.size()) {
+    for (AttrId a : in.blocks[lead]) take(a);
+  }
+  for (const std::vector<AttrId>& block : in.blocks) {
+    for (AttrId a : block) take(a);
   }
 
   // Rule 2/3: greedily complete incoming-view keys; prefer attributes
   // referenced by more views, then smaller domains.
   std::vector<AttrId> remaining;
-  for (AttrId a : universe) {
+  for (AttrId a : in.universe) {
     if (std::find(order.begin(), order.end(), a) == order.end()) {
       remaining.push_back(a);
     }
@@ -78,7 +114,7 @@ StatusOr<std::vector<AttrId>> ComputeAttributeOrder(
         if (!SetContains(key, a)) continue;
         bool complete = true;
         for (AttrId k : key) {
-          if (k == a || !SetContains(universe, k)) continue;
+          if (k == a || !SetContains(in.universe, k)) continue;
           if (std::find(order.begin(), order.end(), k) == order.end()) {
             complete = false;
             break;
@@ -104,6 +140,55 @@ StatusOr<std::vector<AttrId>> ComputeAttributeOrder(
     remaining.erase(std::find(remaining.begin(), remaining.end(), best));
   }
   return order;
+}
+
+}  // namespace
+
+StatusOr<std::vector<AttrId>> ComputeAttributeOrder(
+    const Workload& workload, const ViewGroup& group,
+    const Catalog& catalog) {
+  LMFAO_ASSIGN_OR_RETURN(OrderInputs in,
+                         CollectOrderInputs(workload, group, catalog));
+  return CompleteOrder(workload, group, catalog, in, 0);
+}
+
+StatusOr<std::vector<std::vector<AttrId>>> ComputeCandidateOrders(
+    const Workload& workload, const ViewGroup& group,
+    const Catalog& catalog) {
+  LMFAO_ASSIGN_OR_RETURN(OrderInputs in,
+                         CollectOrderInputs(workload, group, catalog));
+  std::vector<std::vector<AttrId>> candidates;
+  const size_t leads = std::max<size_t>(in.blocks.size(), 1);
+  for (size_t lead = 0; lead < leads; ++lead) {
+    std::vector<AttrId> order =
+        CompleteOrder(workload, group, catalog, in, lead);
+    // Overlapping blocks (e.g. {a} and {a, b}) can yield the same order.
+    if (std::find(candidates.begin(), candidates.end(), order) ==
+        candidates.end()) {
+      candidates.push_back(std::move(order));
+    }
+  }
+  return candidates;
+}
+
+double EstimateOrderCost(const GroupPlan& plan, const Catalog& catalog) {
+  const double rows =
+      static_cast<double>(catalog.relation(plan.node).num_rows());
+  double prefixes = 1.0;
+  double cost = 0.0;
+  for (int l = 1; l <= plan.num_levels(); ++l) {
+    const int64_t domain =
+        catalog.attr(plan.attr_order[static_cast<size_t>(l - 1)])
+            .domain_size;
+    prefixes = domain > 0
+                   ? std::min(rows, prefixes * static_cast<double>(domain))
+                   : rows;
+    const size_t ops = plan.alphas_at_level[static_cast<size_t>(l)].size() +
+                       plan.betas_at_level[static_cast<size_t>(l)].size() +
+                       plan.writes_at_level[static_cast<size_t>(l)].size();
+    cost += prefixes * static_cast<double>(ops);
+  }
+  return cost;
 }
 
 }  // namespace lmfao

@@ -188,15 +188,30 @@ StatusOr<std::shared_ptr<CompiledArtifact>> Engine::CompileArtifact(
 
   phase_timer.Reset();
   for (const ViewGroup& group : artifact->compiled.grouped.groups) {
+    // Rule 1's cost choice: plan every candidate order and keep the
+    // cheapest estimate; ties keep the Rule-1 order (candidate 0).
     LMFAO_ASSIGN_OR_RETURN(
-        std::vector<AttrId> order,
-        ComputeAttributeOrder(artifact->compiled.workload, group, *catalog_));
-    LMFAO_ASSIGN_OR_RETURN(
-        GroupPlan plan,
-        BuildGroupPlan(artifact->compiled.workload, group, *catalog_, order,
-                       options_.plan));
-    artifact->compiled.attr_orders.push_back(std::move(order));
-    artifact->compiled.plans.push_back(std::move(plan));
+        std::vector<std::vector<AttrId>> candidates,
+        ComputeCandidateOrders(artifact->compiled.workload, group,
+                               *catalog_));
+    OrderEstimate estimate;
+    estimate.candidates = static_cast<int>(candidates.size());
+    GroupPlan best;
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      LMFAO_ASSIGN_OR_RETURN(
+          GroupPlan plan,
+          BuildGroupPlan(artifact->compiled.workload, group, *catalog_,
+                         candidates[c], options_.plan));
+      const double cost = EstimateOrderCost(plan, *catalog_);
+      if (c == 0) estimate.rule1_cost = cost;
+      if (c == 0 || cost < estimate.cost) {
+        estimate.cost = cost;
+        best = std::move(plan);
+      }
+    }
+    artifact->compiled.attr_orders.push_back(best.attr_order);
+    artifact->compiled.order_estimates.push_back(estimate);
+    artifact->compiled.plans.push_back(std::move(best));
   }
   AssignViewForms(artifact->compiled.workload, artifact->compiled.grouped,
                   options_.plan, &artifact->compiled.plans);

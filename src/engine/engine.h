@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "dist/shard_spec.h"
+#include "engine/attribute_order.h"
 #include "engine/grouping.h"
 #include "engine/ir.h"
 #include "engine/jit.h"
@@ -298,6 +299,7 @@ struct CompiledBatch {
   Workload workload;
   GroupedWorkload grouped;
   std::vector<std::vector<AttrId>> attr_orders;  ///< Per group.
+  std::vector<OrderEstimate> order_estimates;    ///< Per group.
   std::vector<GroupPlan> plans;                  ///< Per group.
 };
 

@@ -44,6 +44,15 @@ std::string ReportViewGroups(const CompiledBatch& compiled,
     const GroupPlan& plan = compiled.plans[static_cast<size_t>(g.id)];
     out << "  (" << plan.alphas.size() << " alphas, " << plan.betas.size()
         << " betas, " << plan.leaf_sums.size() << " leaf sums)\n";
+    const OrderEstimate& est =
+        compiled.order_estimates[static_cast<size_t>(g.id)];
+    out << StringPrintf("    order cost estimate: %.3g (%d candidate order%s",
+                        est.cost, est.candidates,
+                        est.candidates == 1 ? "" : "s");
+    if (est.cost < est.rule1_cost) {
+      out << StringPrintf("; rule-1 order %.3g", est.rule1_cost);
+    }
+    out << ")\n";
   }
   return out.str();
 }

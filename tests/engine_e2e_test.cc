@@ -3,6 +3,8 @@
 /// join + scan baseline on every query of realistic batches, across all
 /// ablation and parallelism configurations.
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "baseline/join.h"
@@ -243,6 +245,66 @@ TEST(EngineE2eRetailerTest, MixedBatchMatchesBaseline) {
   for (size_t q = 0; q < baseline->size(); ++q) {
     EXPECT_TRUE(ResultsEquivalent(result->results[q], (*baseline)[q], 1e-8))
         << "query " << q;
+  }
+}
+
+/// Retailer covariance: the Inventory group's outgoing views have two key
+/// blocks ({ksn} and {locn, dateid}) and the cost rule leads with the
+/// second, so this covers execution over a switched attribute order,
+/// sequentially and with sharded 4-thread groups.
+TEST(EngineE2eRetailerTest, CovarianceBatchOverSwitchedOrderMatchesBaseline) {
+  RetailerOptions options;
+  options.num_inventory = 2500;
+  auto data = MakeRetailer(options);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const RetailerData& db = **data;
+  FeatureSet features;
+  features.label = db.inventoryunits;
+  for (AttrId a : db.continuous) {
+    if (a != db.inventoryunits) features.continuous.push_back(a);
+  }
+  features.categorical = db.categorical;
+  auto cov = BuildCovarianceBatch(features, db.catalog);
+  ASSERT_TRUE(cov.ok()) << cov.status().ToString();
+  auto joined = MaterializeJoin(db.catalog, db.tree, db.inventory);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  auto baseline = EvaluateBatchSharedScan(*joined, cov->batch);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    EngineOptions engine_options;
+    engine_options.scheduler.num_threads = threads;
+    engine_options.scheduler.min_shard_rows = 1;  // Shard the small groups.
+    Engine engine(&db.catalog, &db.tree, engine_options);
+    auto compiled = engine.Compile(cov->batch);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    bool switched = false;
+    for (size_t g = 0; g < compiled->plans.size(); ++g) {
+      const OrderEstimate& est = compiled->order_estimates[g];
+      if (compiled->plans[g].node == db.inventory &&
+          est.cost < est.rule1_cost) {
+        switched = true;
+        EXPECT_EQ(compiled->attr_orders[g].back(), db.ksn);
+      }
+    }
+    ASSERT_TRUE(switched) << "no Inventory group left its Rule-1 order";
+
+    auto result = engine.Evaluate(cov->batch);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    int max_shards = 1;
+    for (const GroupStats& g : result->stats.groups) {
+      if (g.node == db.inventory) max_shards = std::max(max_shards, g.shards);
+    }
+    EXPECT_EQ(max_shards > 1, threads > 1);
+    ASSERT_EQ(result->results.size(), baseline->size());
+    for (size_t q = 0; q < baseline->size(); ++q) {
+      EXPECT_TRUE(
+          ResultsEquivalent(result->results[q], (*baseline)[q], 1e-8))
+          << "query " << q << " ("
+          << cov->batch.query(static_cast<QueryId>(q)).name
+          << ") disagrees with the baseline";
+    }
   }
 }
 

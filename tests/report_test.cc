@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "data/favorita.h"
+#include "data/retailer.h"
+#include "ml/feature.h"
 
 namespace lmfao {
 namespace {
@@ -43,6 +45,35 @@ TEST_F(ReportTest, ViewGroupsPanel) {
   EXPECT_NE(report.find("attribute order: item date store"),
             std::string::npos);
   EXPECT_NE(report.find("alphas"), std::string::npos);
+  // Every group reports its order's cost estimate; the example batch's
+  // groups each have a single outgoing-view key block.
+  EXPECT_NE(report.find("order cost estimate: "), std::string::npos);
+  EXPECT_NE(report.find("(1 candidate order)"), std::string::npos);
+  EXPECT_EQ(report.find("rule-1 order"), std::string::npos);
+}
+
+TEST(ReportRetailerTest, ViewGroupsPanelShowsRule1EstimateWhenBeaten) {
+  auto data = MakeRetailer(RetailerOptions{.num_inventory = 2500});
+  ASSERT_TRUE(data.ok());
+  const RetailerData& db = **data;
+  FeatureSet features;
+  features.label = db.inventoryunits;
+  for (AttrId a : db.continuous) {
+    if (a != db.inventoryunits) features.continuous.push_back(a);
+  }
+  features.categorical = db.categorical;
+  auto cov = BuildCovarianceBatch(features, db.catalog);
+  ASSERT_TRUE(cov.ok()) << cov.status().ToString();
+  Engine engine(&db.catalog, &db.tree, EngineOptions{});
+  auto compiled = engine.Compile(cov->batch);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const std::string report = ReportViewGroups(*compiled, db.catalog);
+  EXPECT_NE(report.find("attribute order: locn dateid ksn"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("(2 candidate orders; rule-1 order "),
+            std::string::npos)
+      << report;
 }
 
 TEST_F(ReportTest, ExecutionPanel) {
